@@ -1,6 +1,7 @@
 #include "sim/thread_context.hpp"
 
 #include <algorithm>
+#include <span>
 
 #include "trace/trace_replay.hpp"
 
@@ -29,8 +30,6 @@ void ThreadContext::reset(std::string_view name,
   has_pending_ = false;
   done_ = false;
   pending_fp_ = nullptr;
-  pending_ = nullptr;
-  pending_patches_ = nullptr;
   ready_at_ = 0;
   stats_ = ThreadStats{};
   replay_ = nullptr;
@@ -54,9 +53,7 @@ void ThreadContext::refill(std::uint64_t cycle, MemorySystem& mem,
                    "replay recording shorter than the thread's budget");
     const std::uint64_t pos = replay_pos_++;
     const TraceReplay::Entry& e = replay_->entry(pos);
-    pending_ = nullptr;
     pending_fp_ = e.fp;
-    pending_patches_ = nullptr;
     if (first_touch_ != nullptr) {
       has_pending_ = true;
       if (first_touch_->miss(pos)) {
@@ -75,9 +72,7 @@ void ThreadContext::refill(std::uint64_t cycle, MemorySystem& mem,
       gen_stale_ = false;
     }
     gen_.advance();
-    pending_ = &gen_.current_instruction();
     pending_fp_ = &gen_.current_footprint();
-    pending_patches_ = &gen_.current_patches();
     pc = gen_.current_pc();
   }
   has_pending_ = true;
@@ -98,18 +93,34 @@ void ThreadContext::consume(std::uint64_t cycle, MemorySystem& mem,
   CVMT_CHECK_MSG(has_pending_ && cycle >= ready_at_,
                  "consume without a ready offer");
   // Execution stalls: taken-branch squash plus DCache misses. Only the
-  // patched (memory/branch) ops are timing-relevant; on the generator
-  // path the precomputed patch list visits exactly those, in op order,
-  // and on the replay path the recording already holds their values in
-  // that order — the data accesses below are identical either way.
+  // memory ops (their addresses, in op order) and the branch outcome are
+  // timing-relevant; the generator's emission and the replay entry both
+  // hold exactly those, so the data accesses below are identical either
+  // way.
+  std::uint64_t op_count;
+  std::span<const std::uint64_t> addrs;
+  bool taken;
+  if (replay_ != nullptr) {
+    const TraceReplay::Entry& e = replay_->entry(replay_pos_ - 1);
+    op_count = e.op_count;
+    addrs = {replay_->mem_addrs(e), e.mem_count};
+    taken = e.taken;
+  } else {
+    op_count = gen_.current_record().op_count;
+    addrs = gen_.current_mem_addrs();
+    taken = gen_.current_taken();
+  }
+  ++stats_.instructions;
+  stats_.ops += op_count;
+  if (op_count == 0) ++stats_.bubbles;
+
   std::uint64_t stall = 1;
   int dmiss_total = 0;
   int dmiss_max = 0;
-  bool taken = false;
   const bool banked = mem.config().dcache_banks > 1;
   std::uint32_t banks_touched = 0;
   int bank_conflicts = 0;
-  const auto data_op = [&](std::uint64_t addr) {
+  for (const std::uint64_t addr : addrs) {
     const MemAccessResult r = mem.data_access(hw_tid, addr);
     dmiss_total += r.penalty_cycles;
     dmiss_max = std::max(dmiss_max, r.penalty_cycles);
@@ -119,28 +130,6 @@ void ThreadContext::consume(std::uint64_t cycle, MemorySystem& mem,
       const std::uint32_t bit = 1u << r.bank;
       if ((banks_touched & bit) != 0) ++bank_conflicts;
       banks_touched |= bit;
-    }
-  };
-  if (replay_ != nullptr) {
-    const TraceReplay::Entry& e = replay_->entry(replay_pos_ - 1);
-    ++stats_.instructions;
-    stats_.ops += e.op_count;
-    if (e.empty) ++stats_.bubbles;
-    const std::uint64_t* addrs = replay_->mem_addrs(e);
-    for (int k = 0; k < static_cast<int>(e.mem_count); ++k)
-      data_op(addrs[k]);
-    taken = e.taken;
-  } else {
-    ++stats_.instructions;
-    stats_.ops += pending_->op_count();
-    if (pending_->empty()) ++stats_.bubbles;
-    for (const std::uint8_t idx : *pending_patches_) {
-      const Operation& op = pending_->op(idx);
-      if (is_memory(op.kind)) {
-        data_op(op.addr);
-      } else if (op.taken) {  // patch lists hold only memory and branch ops
-        taken = true;
-      }
     }
   }
   if (bank_conflicts > 0) {

@@ -49,10 +49,10 @@ class ThreadContext {
                 std::uint64_t stream_seed,
                 std::uint64_t instruction_budget);
 
-  // Not copyable: the pending-instruction pointers alias this object's
-  // own generator scratch, so a copy would silently track the source's
-  // mutable state (and dangle past its lifetime). Contexts are shared by
-  // pointer (see OsScheduler), never by value.
+  // Not copyable: a pending instruction lives in this object's own
+  // generator, and the replay/structural-fetch pointers are borrowed for
+  // one run, so a copy would silently share the source's run state.
+  // Contexts are shared by pointer (see OsScheduler), never by value.
   ThreadContext(const ThreadContext&) = delete;
   ThreadContext& operator=(const ThreadContext&) = delete;
 
@@ -166,12 +166,11 @@ class ThreadContext {
 
   bool has_pending_ = false;
   bool done_ = false;
-  /// Pending instruction state: pointers into our own generator (its
-  /// scratch stays untouched between refill() and consume()) and into the
-  /// shared immutable program (footprint, patch list).
+  /// Footprint of the pending instruction (into the shared immutable
+  /// program). The rest of it — op count, data addresses, taken — stays in
+  /// the generator (or the replay entry), untouched between refill() and
+  /// consume().
   const Footprint* pending_fp_ = nullptr;
-  const Instruction* pending_ = nullptr;
-  const SyntheticProgram::PatchList* pending_patches_ = nullptr;
   std::uint64_t ready_at_ = 0;
 
   /// Replay mode (batch engine): recorded stream and the index of the

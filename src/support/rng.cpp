@@ -1,6 +1,5 @@
 #include "support/rng.hpp"
 
-#include <bit>
 #include <cmath>
 
 namespace cvmt {
@@ -8,18 +7,6 @@ namespace cvmt {
 Xoshiro256::Xoshiro256(std::uint64_t seed) {
   SplitMix64 sm(seed);
   for (auto& w : s_) w = sm.next();
-}
-
-std::uint64_t Xoshiro256::next() {
-  const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = std::rotl(s_[3], 45);
-  return result;
 }
 
 std::uint64_t Xoshiro256::next_below(std::uint64_t bound) {
@@ -37,16 +24,6 @@ std::uint64_t Xoshiro256::next_below(std::uint64_t bound) {
     }
   }
   return static_cast<std::uint64_t>(m >> 64);
-}
-
-double Xoshiro256::next_double() {
-  return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-bool Xoshiro256::next_bool(double p) {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return next_double() < p;
 }
 
 std::size_t Xoshiro256::next_weighted(std::span<const double> weights) {

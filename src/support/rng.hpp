@@ -7,6 +7,7 @@
 // implementations; all distribution code here is self-contained.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <span>
 
@@ -39,17 +40,34 @@ class Xoshiro256 {
   /// xoshiro authors (avoids the all-zero state).
   explicit Xoshiro256(std::uint64_t seed);
 
-  std::uint64_t next();
+  std::uint64_t next() {
+    const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform integer in [0, bound). Uses Lemire's multiply-shift reduction
   /// with rejection, so results are unbiased. `bound` must be nonzero.
   std::uint64_t next_below(std::uint64_t bound);
 
   /// Uniform double in [0, 1) with 53 bits of precision.
-  double next_double();
+  double next_double() {
+    return static_cast<double>(next() >> 11) * 0x1.0p-53;
+  }
 
-  /// Bernoulli draw with probability `p` (clamped to [0,1]).
-  bool next_bool(double p);
+  /// Bernoulli draw with probability `p` (clamped to [0,1]). Draws nothing
+  /// when `p` is 0 or 1.
+  bool next_bool(double p) {
+    if (p <= 0.0) return false;
+    if (p >= 1.0) return true;
+    return next_double() < p;
+  }
 
   /// Samples an index according to non-negative `weights` (not necessarily
   /// normalised). At least one weight must be positive.

@@ -50,19 +50,24 @@ bool place_op(Instruction& instr, std::uint32_t occupied[kMaxClusters],
   return false;
 }
 
-/// Ops the trace generator must patch at emission: memory (address) and
-/// branch (direction), in op order.
-SyntheticProgram::PatchList patch_list_of(const Instruction& instr) {
-  SyntheticProgram::PatchList patches;
-  for (std::size_t i = 0; i < instr.op_count(); ++i) {
-    const OpKind kind = instr.op(i).kind;
-    if (is_memory(kind) || kind == OpKind::kBranch)
-      patches.push_back(static_cast<std::uint8_t>(i));
-  }
-  return patches;
-}
-
 }  // namespace
+
+SyntheticProgram::EmitRecord SyntheticProgram::EmitRecord::of(
+    const Instruction& instr) {
+  EmitRecord rec;
+  rec.pc = instr.pc();
+  rec.op_count = static_cast<std::uint8_t>(instr.op_count());
+  for (const Operation& op : instr) {
+    if (is_memory(op.kind)) {
+      rec.mem_mask |= 1u << rec.patch_count;
+      ++rec.mem_count;
+    } else if (op.kind != OpKind::kBranch) {
+      continue;
+    }
+    ++rec.patch_count;
+  }
+  return rec;
+}
 
 SyntheticProgram::SyntheticProgram(BenchmarkProfile profile,
                                    MachineConfig machine)
@@ -147,7 +152,7 @@ SyntheticProgram::SyntheticProgram(BenchmarkProfile profile,
       loop.body.insert(loop.body.begin() + pos, Instruction{});
     }
 
-    // --- Assign PCs and cache the footprints -------------------------
+    // --- Assign PCs and cache the footprints and emit records --------
     loop.code_base = std::uint64_t{0x10000} + lu * std::uint64_t{0x1000};
     CVMT_CHECK_MSG(loop.body.size() * profile_.code_bytes_per_instr <=
                        std::uint64_t{0x1000},
@@ -157,7 +162,7 @@ SyntheticProgram::SyntheticProgram(BenchmarkProfile profile,
                           static_cast<std::uint64_t>(i) *
                               profile_.code_bytes_per_instr);
       loop.footprints.push_back(Footprint::of(loop.body[i], machine_));
-      loop.patch_ops.push_back(patch_list_of(loop.body[i]));
+      loop.records.push_back(EmitRecord::of(loop.body[i]));
     }
 
     // --- Timing bookkeeping and the IPCr miss mix ---------------------
@@ -204,7 +209,7 @@ SyntheticProgram::SyntheticProgram(BenchmarkProfile profile,
                    "miss fraction out of range");
     CVMT_CHECK_MSG(loop.hot_window >= 1, "hot window must be non-empty");
     loop.footprints.clear();
-    loop.patch_ops.clear();
+    loop.records.clear();
     loop.real_instrs = 0;
     loop.total_ops = 0;
     loop.mem_ops = 0;
@@ -214,7 +219,7 @@ SyntheticProgram::SyntheticProgram(BenchmarkProfile profile,
       const std::string err = instr.validate(machine_);
       CVMT_CHECK_MSG(err.empty(), "invalid instruction in loop: " + err);
       loop.footprints.push_back(Footprint::of(instr, machine_));
-      loop.patch_ops.push_back(patch_list_of(instr));
+      loop.records.push_back(EmitRecord::of(instr));
       if (!instr.empty()) ++loop.real_instrs;
       loop.total_ops += static_cast<std::int64_t>(instr.op_count());
       bool has_branch = false;

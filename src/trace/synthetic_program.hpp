@@ -30,17 +30,27 @@ namespace cvmt {
 /// shared_ptr (it is read-only after construction).
 class SyntheticProgram {
  public:
-  /// Per body instruction: indices of the operations patched at emission
-  /// time (memory ops get addresses, branches get directions), in op
-  /// order. Precomputed so the emission and issue hot paths touch only
-  /// these instead of scanning every operation.
-  using PatchList = InlineVec<std::uint8_t, kMaxTotalOps>;
+  /// What emitting and issuing one body instruction needs from its
+  /// template, so neither hot path touches the 500-byte Instruction. The
+  /// patches of an instruction are its memory ops (which get addresses)
+  /// and branches (which get directions), numbered in op order.
+  struct EmitRecord {
+    std::uint64_t pc = 0;        ///< template (unsalted) PC
+    std::uint32_t mem_mask = 0;  ///< bit k set <=> patch k is a memory op
+    std::uint8_t op_count = 0;   ///< 0 = bubble
+    std::uint8_t patch_count = 0;
+    std::uint8_t mem_count = 0;  ///< popcount(mem_mask)
+
+    /// The record of `instr`, as the program caches it per body slot.
+    [[nodiscard]] static EmitRecord of(const Instruction& instr);
+  };
+  static_assert(kMaxTotalOps <= 32, "EmitRecord::mem_mask holds 32 patches");
 
   /// One scheduled loop.
   struct Loop {
     std::vector<Instruction> body;      ///< templates; empty = bubble
     std::vector<Footprint> footprints;  ///< cached per body instruction
-    std::vector<PatchList> patch_ops;   ///< cached per body instruction
+    std::vector<EmitRecord> records;    ///< cached per body instruction
     std::uint64_t code_base = 0;  ///< PC of body[0]
     std::uint64_t hot_base = 0;   ///< cache-resident data region base
     std::uint64_t hot_window = 0;

@@ -35,17 +35,16 @@ std::uint64_t TraceGenerator::salt_for_seed(std::uint64_t stream_seed) {
 void TraceGenerator::start_stream(std::uint64_t stream_seed) {
   address_salt_ = salt_for_seed(stream_seed);
   const std::size_t n = program_->loops().size();
-  hot_cursor_.assign(n, 0);
-  cold_cursor_.assign(n, 0);
-  hot_stride_mod_.resize(n);
+  cursors_.assign(n, LoopCursor{});
   for (std::size_t l = 0; l < n; ++l)
-    hot_stride_mod_[l] =
+    cursors_[l].hot_stride_mod =
         program_->profile().hot_stride % program_->loops()[l].hot_window;
+  cur_rec_ = nullptr;
   cur_fp_ = nullptr;
-  cur_patches_ = nullptr;
   cur_tmpl_ = nullptr;
-  cur_is_scratch_ = false;
   cur_pc_ = 0;
+  cur_taken_ = 0;
+  scratch_valid_ = false;
   emitted_ = 0;
   enter_next_loop();
 }
@@ -59,42 +58,37 @@ void TraceGenerator::enter_next_loop() {
 
 void TraceGenerator::advance() {
   const SyntheticProgram::Loop& loop = program_->loops()[loop_idx_];
+  const SyntheticProgram::EmitRecord& rec = loop.records[body_pos_];
 
-  cur_tmpl_ = &loop.body[body_pos_];
+  cur_rec_ = &rec;
   cur_fp_ = &loop.footprints[body_pos_];
-  cur_patches_ = &loop.patch_ops[body_pos_];
-  cur_pc_ = cur_tmpl_->pc() + address_salt_;
-  cur_is_scratch_ = !cur_patches_->empty();
+  cur_tmpl_ = &loop.body[body_pos_];
+  cur_pc_ = rec.pc + address_salt_;
+  cur_taken_ = 0;
+  scratch_valid_ = false;
 
+  // Only memory and branch ops are patched per execution, in op order (so
+  // RNG draws are reproducible); the record says which is which.
   const bool is_last = body_pos_ + 1 == loop.body.size();
-  if (cur_is_scratch_) {
-    // Only memory and branch ops need per-execution patching; the
-    // precomputed patch list (op order preserved, so RNG draws are
-    // reproducible) skips the rest — and a patch-free instruction skips
-    // the copy altogether.
-    scratch_ = *cur_tmpl_;
-    scratch_.set_pc(cur_pc_);
-    for (const std::uint8_t i : *cur_patches_) {
-      Operation& op = scratch_.op(i);
-      if (is_memory(op.kind)) {
-        if (rng_.next_bool(loop.miss_frac)) {
-          std::uint64_t& cur = cold_cursor_[loop_idx_];
-          op.addr = loop.cold_base + address_salt_ + cur;
-          cur = (cur + kColdLineBytes) % kColdWrapBytes;
-        } else {
-          // cur is maintained in [0, hot_window): same addresses as the
-          // raw-cursor modulo, without the division.
-          std::uint64_t& cur = hot_cursor_[loop_idx_];
-          op.addr = loop.hot_base + address_salt_ + cur;
-          cur += hot_stride_mod_[loop_idx_];
-          if (cur >= loop.hot_window) cur -= loop.hot_window;
-        }
+  LoopCursor& cur = cursors_[loop_idx_];
+  std::uint64_t* addr = cur_addrs_.data();
+  for (unsigned k = 0; k < rec.patch_count; ++k) {
+    if ((rec.mem_mask >> k) & 1u) {
+      if (rng_.next_bool(loop.miss_frac)) {
+        *addr++ = loop.cold_base + address_salt_ + cur.cold;
+        cur.cold = (cur.cold + kColdLineBytes) % kColdWrapBytes;
       } else {
-        // The loop-closing branch is always taken (back edge or exit
-        // jump); mid-body branches resolve randomly.
-        op.taken = is_last ||
-                   rng_.next_bool(program_->profile().mid_branch_taken);
+        // cur.hot is maintained in [0, hot_window): same addresses as the
+        // raw-cursor modulo, without the division.
+        *addr++ = loop.hot_base + address_salt_ + cur.hot;
+        cur.hot += cur.hot_stride_mod;
+        if (cur.hot >= loop.hot_window) cur.hot -= loop.hot_window;
       }
+    } else if (is_last ||
+               rng_.next_bool(program_->profile().mid_branch_taken)) {
+      // The loop-closing branch is always taken (back edge or exit
+      // jump); mid-body branches resolve randomly.
+      cur_taken_ |= 1u << k;
     }
   }
 
@@ -109,18 +103,40 @@ void TraceGenerator::advance() {
 
 const Instruction& TraceGenerator::next() {
   advance();
-  if (!cur_is_scratch_) {
-    // Preserve next()'s contract: the returned instruction carries the
-    // salted PC, so materialise the template into scratch.
+  return current_instruction();
+}
+
+const Instruction& TraceGenerator::current_instruction() const {
+  if (!scratch_valid_) {
     scratch_ = *cur_tmpl_;
     scratch_.set_pc(cur_pc_);
-    cur_is_scratch_ = true;
+    unsigned k = 0;
+    std::size_t m = 0;
+    for (std::size_t i = 0; i < scratch_.op_count(); ++i) {
+      Operation& op = scratch_.op(i);
+      if (is_memory(op.kind)) {
+        op.addr = cur_addrs_[m++];
+      } else if (op.kind == OpKind::kBranch) {
+        op.taken = ((cur_taken_ >> k) & 1u) != 0;
+      } else {
+        continue;
+      }
+      ++k;
+    }
+    scratch_valid_ = true;
   }
   return scratch_;
 }
 
-const Footprint& TraceGenerator::current_footprint() const {
-  return *cur_fp_;
+InlineVec<std::uint8_t, kMaxTotalOps> TraceGenerator::current_patches()
+    const {
+  InlineVec<std::uint8_t, kMaxTotalOps> patches;
+  for (std::size_t i = 0; i < cur_tmpl_->op_count(); ++i) {
+    const OpKind kind = cur_tmpl_->op(i).kind;
+    if (is_memory(kind) || kind == OpKind::kBranch)
+      patches.push_back(static_cast<std::uint8_t>(i));
+  }
+  return patches;
 }
 
 }  // namespace cvmt

@@ -5,26 +5,19 @@ namespace cvmt {
 void TraceReplay::ensure(std::uint64_t count) {
   while (entries_.size() < count) {
     gen_.advance();
-    // Mirror of ThreadContext's live issue path: the patch list visits
-    // exactly the memory and branch ops, in op order; everything else
-    // about the packet is template-invariant.
-    const Instruction& inst = gen_.current_instruction();
+    // The generator's emission is exactly what the live issue path reads
+    // (ThreadContext::consume): record it as is.
+    const SyntheticProgram::EmitRecord& rec = gen_.current_record();
+    const std::span<const std::uint64_t> addrs = gen_.current_mem_addrs();
     Entry e;
     e.fp = &gen_.current_footprint();
     e.pc = gen_.current_pc();
     e.mem_begin = static_cast<std::uint32_t>(addrs_.size());
-    e.op_count = static_cast<std::uint8_t>(inst.op_count());
-    e.empty = inst.empty();
-    e.taken = false;
-    for (const std::uint8_t idx : gen_.current_patches()) {
-      const Operation& op = inst.op(idx);
-      if (is_memory(op.kind)) {
-        addrs_.push_back(op.addr);
-      } else if (op.taken) {
-        e.taken = true;
-      }
-    }
-    e.mem_count = static_cast<std::uint8_t>(addrs_.size() - e.mem_begin);
+    e.mem_count = rec.mem_count;
+    e.op_count = rec.op_count;
+    e.empty = rec.op_count == 0;
+    e.taken = gen_.current_taken();
+    addrs_.insert(addrs_.end(), addrs.begin(), addrs.end());
     entries_.push_back(e);
   }
 }

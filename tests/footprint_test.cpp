@@ -2,9 +2,12 @@
 // worked example and randomized structural properties.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
+#include <string>
 
 #include "isa/footprint.hpp"
+#include "isa/machine_file.hpp"
 #include "support/rng.hpp"
 
 namespace cvmt {
@@ -234,7 +237,8 @@ TEST(RouteMerge, ThrowsOnIncompatiblePackets) {
 
 // --------------------------------------------------- Random properties
 
-/// Generates a random valid instruction (placement-legal by construction).
+/// Generates a random valid instruction (placement-legal by construction)
+/// on any machine shape.
 Instruction random_instruction(Xoshiro256& rng, const MachineConfig& m,
                                int max_ops) {
   Instruction instr;
@@ -248,7 +252,7 @@ Instruction random_instruction(Xoshiro256& rng, const MachineConfig& m,
     const OpKind kind = kinds[rng.next_below(std::size(kinds))];
     const int c = static_cast<int>(
         rng.next_below(static_cast<std::uint64_t>(m.num_clusters)));
-    const std::uint32_t free = m.slots_for(kind) & ~occupied[c];
+    const std::uint32_t free = m.slots_for(kind, c) & ~occupied[c];
     if (free == 0) continue;
     const int slot = std::countr_zero(free);
     occupied[c] |= 1u << slot;
@@ -319,6 +323,128 @@ TEST_P(FootprintPropertyTest, CompatibilityIsSymmetric) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FootprintPropertyTest,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
+
+// ------------------------------------- Lane storage vs scalar reference
+//
+// Footprint packs four clusters per 64-bit lane word. These properties
+// check the SWAR predicates and merge_with against a plain per-cluster
+// model on machines whose clusters fill one word (vex4x4), straddle the
+// word boundary between clusters 3 and 4 (8 clusters) and take the
+// heterogeneous slow path (het4422).
+
+/// Per-cluster usage, computed op by op with no lane packing.
+struct ScalarUse {
+  std::array<int, kMaxClusters> fixed{};
+  std::array<int, kMaxClusters> count{};
+
+  static ScalarUse of(const Instruction& instr) {
+    ScalarUse u;
+    for (const Operation& op : instr) {
+      if (is_fixed_slot(op.kind)) u.fixed[op.cluster] |= 1 << op.slot;
+      ++u.count[op.cluster];
+    }
+    return u;
+  }
+  void merge(const ScalarUse& b) {
+    for (int c = 0; c < kMaxClusters; ++c) {
+      fixed[c] |= b.fixed[c];
+      count[c] += b.count[c];
+    }
+  }
+  [[nodiscard]] bool csmt(const ScalarUse& b) const {
+    for (int c = 0; c < kMaxClusters; ++c)
+      if (count[c] > 0 && b.count[c] > 0) return false;
+    return true;
+  }
+  [[nodiscard]] bool smt(const ScalarUse& b, const MachineConfig& m) const {
+    for (int c = 0; c < m.num_clusters; ++c) {
+      if ((fixed[c] & b.fixed[c]) != 0) return false;
+      if (count[c] + b.count[c] > m.cluster_issue(c)) return false;
+    }
+    return true;
+  }
+};
+
+void expect_matches_scalar(const Footprint& f, const ScalarUse& u) {
+  std::uint32_t mask = 0;
+  int total = 0;
+  for (int c = 0; c < kMaxClusters; ++c) {
+    ASSERT_EQ(f.cluster(c).fixed_mask, u.fixed[c]) << "cluster " << c;
+    ASSERT_EQ(f.cluster(c).op_count, u.count[c]) << "cluster " << c;
+    if (u.count[c] > 0) mask |= 1u << c;
+    total += u.count[c];
+  }
+  ASSERT_EQ(f.cluster_mask(), mask);
+  ASSERT_EQ(f.total_ops(), total);
+}
+
+MachineConfig builtin(const char* name) {
+  MachineDescription desc;
+  CVMT_CHECK(find_builtin_machine(name, desc));
+  return desc.machine;
+}
+
+class FootprintLaneTest : public ::testing::TestWithParam<const char*> {
+ protected:
+  MachineConfig machine() const {
+    return std::string(GetParam()) == "clustered8x4"
+               ? MachineConfig::clustered(8, 4)
+               : builtin(GetParam());
+  }
+};
+
+TEST_P(FootprintLaneTest, OfMatchesScalarModel) {
+  const MachineConfig m = machine();
+  Xoshiro256 rng(17);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const Instruction instr = random_instruction(rng, m, 10);
+    ASSERT_EQ(instr.validate(m), "");
+    expect_matches_scalar(Footprint::of(instr, m), ScalarUse::of(instr));
+  }
+}
+
+TEST_P(FootprintLaneTest, PredicatesAndMergeMatchScalarModel) {
+  // Greedy folds like the merge network's: an accumulated packet meets a
+  // stream of candidates, merging whenever SMT allows, so accumulated
+  // counts reach the full cluster width and the overflow boundary.
+  const MachineConfig m = machine();
+  Xoshiro256 rng(29);
+  int smt_accepts = 0, smt_rejects = 0, csmt_accepts = 0;
+  for (int fold = 0; fold < 1000; ++fold) {
+    const Instruction first = random_instruction(rng, m, 10);
+    Footprint acc = Footprint::of(first, m);
+    ScalarUse ref = ScalarUse::of(first);
+    for (int j = 0; j < 6; ++j) {
+      const Instruction next = random_instruction(rng, m, 10);
+      const Footprint f = Footprint::of(next, m);
+      const ScalarUse u = ScalarUse::of(next);
+      const bool smt = ref.smt(u, m);
+      ASSERT_EQ(Footprint::csmt_compatible(acc, f), ref.csmt(u));
+      ASSERT_EQ(Footprint::smt_compatible(acc, f, m), smt);
+      ASSERT_EQ(Footprint::smt_compatible(f, acc, m), smt);
+      csmt_accepts += ref.csmt(u) ? 1 : 0;
+      if (!smt) {
+        ++smt_rejects;
+        continue;
+      }
+      ++smt_accepts;
+      acc.merge_with(f, m);
+      ref.merge(u);
+      expect_matches_scalar(acc, ref);
+    }
+  }
+  // The folds must exercise both outcomes of both predicates.
+  EXPECT_GT(smt_accepts, 500);
+  EXPECT_GT(smt_rejects, 500);
+  EXPECT_GT(csmt_accepts, 100);
+}
+
+INSTANTIATE_TEST_SUITE_P(Machines, FootprintLaneTest,
+                         ::testing::Values("vex4x4", "clustered8x4",
+                                           "het4422"),
+                         [](const auto& info) {
+                           return std::string(info.param);
+                         });
 
 }  // namespace
 }  // namespace cvmt

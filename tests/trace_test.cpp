@@ -2,14 +2,18 @@
 // structural validity, determinism, resumability and statistical shape.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <future>
+#include <ostream>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "support/stats.hpp"
+#include "testgen/generators.hpp"
 #include "trace/benchmark_suite.hpp"
 #include "trace/trace_generator.hpp"
+#include "trace/vex_asm.hpp"
 
 namespace cvmt {
 namespace {
@@ -170,6 +174,31 @@ TEST(SyntheticProgram, FootprintCacheMatchesBodies) {
   }
 }
 
+TEST(SyntheticProgram, EmitRecordsDescribeBodies) {
+  for (const BenchmarkProfile& profile : table1_profiles()) {
+    const SyntheticProgram prog(profile, kM);
+    for (const auto& loop : prog.loops()) {
+      ASSERT_EQ(loop.records.size(), loop.body.size());
+      for (std::size_t i = 0; i < loop.body.size(); ++i) {
+        const Instruction& instr = loop.body[i];
+        const SyntheticProgram::EmitRecord& rec = loop.records[i];
+        EXPECT_EQ(rec.pc, instr.pc());
+        EXPECT_EQ(rec.op_count, instr.op_count());
+        // Patches are the memory and branch ops, numbered in op order.
+        std::uint32_t mem_mask = 0;
+        unsigned patches = 0;
+        for (const Operation& op : instr) {
+          if (is_memory(op.kind)) mem_mask |= 1u << patches;
+          if (is_memory(op.kind) || op.kind == OpKind::kBranch) ++patches;
+        }
+        EXPECT_EQ(rec.patch_count, patches) << profile.name;
+        EXPECT_EQ(rec.mem_mask, mem_mask) << profile.name;
+        EXPECT_EQ(rec.mem_count, std::popcount(mem_mask)) << profile.name;
+      }
+    }
+  }
+}
+
 TEST(SyntheticProgram, AnalyticIpcMatchesTargets) {
   // The builder solves bubbles and miss fractions analytically; its own
   // expectation must land on the Table 1 targets.
@@ -282,6 +311,185 @@ TEST(TraceGenerator, MemOpsCarryAddressesInTheRightRegions) {
   }
   EXPECT_GT(hot, 0);
   EXPECT_GT(cold, 0);  // colorspace streams (IPCr << IPCp)
+}
+
+// ------------------------------------------- Emission record vs next()
+//
+// advance() writes only the per-execution part of an instruction (salted
+// PC, data addresses, branch outcome) beside the program's EmitRecord;
+// next() materializes the full patched Instruction. The issue path reads
+// the former, tools and tests the latter: they must describe the same
+// stream.
+
+/// What the issue path reads from one emitted instruction.
+struct Emitted {
+  std::uint64_t pc = 0;
+  std::vector<std::uint64_t> addrs;  ///< memory ops' addresses, op order
+  bool taken = false;
+  std::size_t op_count = 0;
+  bool bubble = false;
+
+  friend bool operator==(const Emitted&, const Emitted&) = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const Emitted& e) {
+  os << "{pc=" << e.pc << " ops=" << e.op_count << " bubble=" << e.bubble
+     << " taken=" << e.taken << " addrs=[";
+  for (const std::uint64_t a : e.addrs) os << a << ",";
+  return os << "]}";
+}
+
+Emitted from_record(const TraceGenerator& g) {
+  Emitted e;
+  e.pc = g.current_pc();
+  const auto addrs = g.current_mem_addrs();
+  e.addrs.assign(addrs.begin(), addrs.end());
+  e.taken = g.current_taken();
+  e.op_count = g.current_record().op_count;
+  e.bubble = g.current_record().op_count == 0;
+  return e;
+}
+
+Emitted from_instruction(const Instruction& instr) {
+  Emitted e;
+  e.pc = instr.pc();
+  for (const Operation& op : instr) {
+    if (is_memory(op.kind)) e.addrs.push_back(op.addr);
+    if (op.kind == OpKind::kBranch && op.taken) e.taken = true;
+  }
+  e.op_count = instr.op_count();
+  e.bubble = instr.empty();
+  return e;
+}
+
+/// Drives one advance()-only and one next()-only generator over the same
+/// stream and compares them instruction by instruction. The advance()
+/// side also materializes current_instruction() now and then, which must
+/// equal next()'s and must not disturb the stream.
+void expect_record_matches_next(
+    const std::shared_ptr<const SyntheticProgram>& prog,
+    std::uint64_t seed, int n) {
+  TraceGenerator lean(prog, seed);
+  TraceGenerator full(prog, seed);
+  for (int i = 0; i < n; ++i) {
+    lean.advance();
+    const Instruction& instr = full.next();
+    ASSERT_EQ(from_record(lean), from_instruction(instr))
+        << prog->profile().name << " seed " << seed << " instr " << i;
+    ASSERT_EQ(&lean.current_footprint(), &full.current_footprint());
+    if (i % 7 == 0) {
+      ASSERT_TRUE(lean.current_instruction() == instr)
+          << prog->profile().name << " instr " << i;
+      const auto patches = lean.current_patches();
+      std::size_t k = 0;
+      for (std::size_t op = 0; op < instr.op_count(); ++op) {
+        const OpKind kind = instr.op(op).kind;
+        if (!is_memory(kind) && kind != OpKind::kBranch) continue;
+        ASSERT_LT(k, patches.size());
+        ASSERT_EQ(patches[k++], op);
+      }
+      ASSERT_EQ(k, patches.size());
+    }
+  }
+}
+
+TEST(EmitRecord, AdvanceMatchesNextOnTable1Programs) {
+  for (const BenchmarkProfile& profile : table1_profiles())
+    expect_record_matches_next(
+        std::make_shared<const SyntheticProgram>(profile, kM), 11, 10000);
+}
+
+TEST(EmitRecord, AdvanceMatchesNextOnVexAsmPrograms) {
+  // The hand-written kernels of examples/asm_playground, a kernel whose
+  // mid-body packet holds two independently resolved branches, and every
+  // Table 1 program round-tripped through the textual format.
+  const char* kernels[] = {R"(
+.program narrow-chaser
+.machine clusters=4 issue=4
+.stride 8
+.codebytes 32
+.midtaken 0.2
+.loop trips=32 miss=0.05 code=0x10000 hot=0x20000000+2048 cold=0x40000000
+{ c0.2 ld }
+{ c0.0 alu }
+{ }
+{ c0.0 alu ; c0.3 br }
+.endloop
+)",
+                           R"(
+.program wide-kernel
+.machine clusters=4 issue=4
+.stride 8
+.codebytes 32
+.midtaken 0.2
+.loop trips=64 miss=0.01 code=0x10000 hot=0x20000000+4096 cold=0x48000000
+{ c1.0 alu ; c1.1 mpy ; c1.2 ld ; c2.0 alu ; c2.2 ld ; c3.0 alu }
+{ c1.0 alu ; c2.0 alu ; c2.1 alu ; c3.0 alu ; c3.2 st }
+{ c1.0 alu ; c1.1 alu ; c2.0 alu ; c3.0 alu ; c3.3 br }
+.endloop
+)",
+                           R"(
+.program two-branches
+.machine clusters=4 issue=4
+.stride 24
+.codebytes 16
+.midtaken 0.5
+.loop trips=5 miss=0.5 code=0x10000 hot=0x20000000+512 cold=0x40000000
+{ c0.2 ld ; c0.3 br ; c1.2 st ; c1.3 br ; c2.2 ld }
+{ }
+{ c3.2 ld ; c0.3 br }
+.endloop
+.loop trips=3 miss=0.0 code=0x11000 hot=0x20001000+256 cold=0x44000000
+{ c2.3 br ; c2.2 st ; c3.3 br }
+{ c1.3 br }
+.endloop
+)"};
+  for (const char* text : kernels)
+    expect_record_matches_next(parse_program(text, kM), 5, 10000);
+  for (const BenchmarkProfile& profile : table1_profiles())
+    expect_record_matches_next(
+        parse_program(dump_program(SyntheticProgram(profile, kM)), kM), 3,
+        10000);
+}
+
+TEST(EmitRecord, AdvanceMatchesNextOnGeneratedProfiles) {
+  // Fuzz-generated profiles on fuzz-generated machines (heterogeneous and
+  // narrow shapes included), as the differential fuzzer builds them.
+  WorkloadGen workloads(2024);
+  MachineGen machines(4048);
+  for (int i = 0; i < 200; ++i) {
+    const BenchmarkProfile profile = workloads.next("gen" + std::to_string(i));
+    const MachineConfig machine = machines.next_machine();
+    expect_record_matches_next(
+        std::make_shared<const SyntheticProgram>(profile, machine),
+        static_cast<std::uint64_t>(i), 10000);
+  }
+}
+
+TEST(EmitRecord, SnapshotsResumeIdentically) {
+  // A copy taken mid-stream and a reset()-and-replayed generator both
+  // continue exactly like the original, record for record.
+  for (const char* name : {"mcf", "colorspace", "x264"}) {
+    const auto prog = make_program(name);
+    TraceGenerator original(prog, 77);
+    for (int i = 0; i < 4321; ++i) original.advance();
+    TraceGenerator copy = original;
+    TraceGenerator rewound(make_program("idct"), 3);
+    for (int i = 0; i < 100; ++i) rewound.advance();
+    rewound.reset(prog, 77);
+    for (int i = 0; i < 4321; ++i) rewound.advance();
+    for (int i = 0; i < 10000; ++i) {
+      original.advance();
+      copy.advance();
+      rewound.advance();
+      ASSERT_EQ(from_record(copy), from_record(original)) << name << i;
+      ASSERT_EQ(from_record(rewound), from_record(original)) << name << i;
+      ASSERT_EQ(&copy.current_footprint(), &original.current_footprint());
+      ASSERT_EQ(&rewound.current_footprint(), &original.current_footprint());
+    }
+    EXPECT_EQ(copy.instructions_emitted(), original.instructions_emitted());
+    EXPECT_EQ(rewound.instructions_emitted(), original.instructions_emitted());
+  }
 }
 
 TEST(TraceGenerator, GsmencodeHasNoColdStream) {
