@@ -98,10 +98,9 @@ JsonValue params_to_json(const Experiment& experiment,
       machine.set("heterogeneous", true);
     out.set("machine", std::move(machine));
   }
-  // ParamKind::kWorkers and ParamKind::kLanes are intentionally absent:
-  // worker and lane counts are execution details and results are
-  // bit-identical for any value, so the machine-readable output must not
-  // depend on them.
+  // ParamKind::kWorkers is intentionally absent: the worker count is an
+  // execution detail and results are bit-identical for any value, so the
+  // machine-readable output must not depend on it.
   return out;
 }
 
@@ -160,7 +159,6 @@ ParamKind param_kind_of_flag(std::string_view flag) {
   if (flag == "fast" || flag == "budget") return ParamKind::kBudget;
   if (flag == "timeslice") return ParamKind::kTimeslice;
   if (flag == "workers") return ParamKind::kWorkers;
-  if (flag == "lanes") return ParamKind::kLanes;
   if (flag == "stats") return ParamKind::kStats;
   if (flag == "schemes") return ParamKind::kSchemes;
   if (flag == "workloads") return ParamKind::kWorkloads;
@@ -617,48 +615,6 @@ int cvmt_merge(int argc, const char* const* argv) {
 }
 
 }  // namespace
-
-int run_experiment_main(std::string_view id, int argc,
-                        const char* const* argv) {
-  const Experiment* experiment = ExperimentRegistry::instance().find(id);
-  CVMT_CHECK_MSG(experiment != nullptr,
-                 "experiment not registered: " + std::string(id) +
-                     " (is the cvmt_exp object library linked?)");
-
-  ArgParser parser(
-      "bench " + std::string(id),
-      experiment->description +
-          "\nEquivalent to `cvmt run " + std::string(id) +
-          "`; every flag layers over its CVMT_* environment variable.");
-  ExperimentParams::add_standard_flags(parser);
-  add_format_flag(parser);
-  add_out_flag(parser);
-  switch (parser.parse(argc, argv)) {
-    case ArgParser::Outcome::kHelp: return 0;
-    case ArgParser::Outcome::kError: return 2;
-    case ArgParser::Outcome::kOk: break;
-  }
-
-  ExperimentParams params;
-  try {
-    params = ExperimentParams::resolve(parser);
-  } catch (const CheckError& e) {
-    std::cerr << "bench " << id << ": " << e.what() << '\n';
-    return 2;
-  }
-  const std::string who = "bench " + std::string(id);
-  const std::string out_path = parser.get_string("out", "");
-  if (!out_path.empty() && !probe_out(out_path, who)) return 2;
-  std::ostringstream buffer;
-  std::ostream& os =
-      out_path.empty() ? static_cast<std::ostream&>(std::cout) : buffer;
-  warn_flags_outside_schema(*experiment, parser);
-  const int code = run_with_optional_store(
-      *experiment, params,
-      format_from_string(parser.get_string("format", "table")), os, who);
-  if (!out_path.empty() && !commit_out(out_path, buffer, who)) return 1;
-  return code;
-}
 
 int cvmt_main(int argc, const char* const* argv) {
   if (argc < 2) return usage(std::cerr, 2);

@@ -1,5 +1,5 @@
-// The cvmt experiment driver: one code path behind the `cvmt` CLI binary
-// (tools/cvmt_main.cpp) and every bench_* shim. Resolves parameters
+// The cvmt experiment driver: the code path behind the `cvmt` CLI binary
+// (tools/cvmt_main.cpp). Resolves parameters
 // (CLI flags over CVMT_* environment over defaults), runs experiments
 // from the registry, and emits results as an aligned table (the legacy
 // bench output, byte-identical), CSV or JSON.
@@ -38,13 +38,6 @@ void print_result(std::ostream& os, const Experiment& experiment,
 [[nodiscard]] std::string run_to_string(const Experiment& experiment,
                                         const ExperimentParams& params,
                                         OutputFormat format);
-
-/// Entry point of a bench_* shim: parse `argv` (standard experiment flags
-/// plus --format), run the experiment registered under `id`, print to
-/// stdout. Returns a process exit code (0 success, 1 experiment failure,
-/// 2 usage error).
-[[nodiscard]] int run_experiment_main(std::string_view id, int argc,
-                                      const char* const* argv);
 
 /// Entry point of the `cvmt` binary: `cvmt list`, `cvmt run <id|all>`.
 [[nodiscard]] int cvmt_main(int argc, const char* const* argv);

@@ -1,7 +1,7 @@
 // Experiment runners — one per table/figure of the paper's evaluation.
-// Shared by the bench binaries (which print the rows) and the integration
-// tests (which assert the headline relations). Each bench_* binary in
-// bench/ is the printable form of one runner here.
+// Shared by the registered experiments (which print the rows through
+// `cvmt run <id>`) and the integration tests (which assert the headline
+// relations).
 #pragma once
 
 #include <cstdint>

@@ -2,12 +2,12 @@
 // through. Each runner (one file under src/exp/runners/) self-registers an
 // Experiment — id, paper artifact, description, declared parameter schema
 // and a run function returning generic Dataset sections — and the cvmt
-// driver, the bench shims, the tests and CI all run it from here. Adding a
+// driver, the tests and CI all run it from here. Adding a
 // new experiment is one new runner file; no report/bench/CMake fan-out.
 //
 // Registration happens via static initializers, so the runner objects
 // must actually be linked: they are compiled as the cvmt_exp OBJECT
-// library (see CMakeLists.txt), which the driver, shims and tests link.
+// library (see CMakeLists.txt), which the driver and tests link.
 // A plain static-archive member with no referenced symbol would be
 // dropped by the linker and its experiment would silently vanish.
 #pragma once

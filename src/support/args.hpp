@@ -1,5 +1,5 @@
-// Command-line flag parser shared by the cvmt driver, the bench shims and
-// the examples. Each option may name a CVMT_* environment variable; values
+// Command-line flag parser shared by the cvmt driver, the benches and the
+// examples. Each option may name a CVMT_* environment variable; values
 // then resolve in layers:
 //
 //   CLI flag  >  environment variable  >  built-in default

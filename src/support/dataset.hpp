@@ -7,7 +7,7 @@
 //
 // The typed per-figure row structs (Table1Row, Fig10Result, ...) remain as
 // thin views for the tests and for computation; a Dataset is what crosses
-// the experiment API boundary to the cvmt driver and the bench shims.
+// the experiment API boundary to the cvmt driver.
 #pragma once
 
 #include <cstdint>

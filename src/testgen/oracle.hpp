@@ -1,18 +1,21 @@
 // Differential oracles over one FuzzCase: the same case is run through
 // every hot-path configuration the repo claims is bit-identical —
 //
-//   baseline   plan evaluator + stall fast-forward + full stats
-//   tree       recursive tree-reference evaluator, cycle-stepped
-//   stepped    plan evaluator with the fast-forward disabled
-//   faststats  StatsLevel::kFast (merge counters intentionally zeroed)
-//   replay     the baseline re-run from scratch (determinism)
-//   specialized  the shape-specialized plan interpreter (uniform-chain
-//                fast paths; generic fallback elsewhere)
+//   baseline         plan evaluator + stall fast-forward + full stats
+//   tree             recursive tree-reference evaluator, cycle-stepped
+//   stepped          plan evaluator with the fast-forward disabled
+//   faststats        StatsLevel::kFast (merge counters intentionally zeroed)
+//   replay           the baseline re-run from scratch (determinism)
+//   reset-from-fast  the shared instance switched back from kFast to the
+//                    baseline configuration
+//   fresh faststats  the kFast configuration re-run from scratch
+//   tree-ff          tree-reference evaluator with the fast-forward on
 //
 // and every SimResult counter must agree (faststats: every shared field
-// agrees AND the merge counters are verifiably zeroed). This turns each
-// future hot-path optimization into one more row here instead of a
-// bespoke golden test.
+// agrees AND the merge counters are verifiably zeroed; fresh faststats
+// is compared with the instance's kFast run on every shared field). This
+// turns each future hot-path optimization into one more row here instead
+// of a bespoke golden test.
 #pragma once
 
 #include <string>
@@ -53,26 +56,25 @@ struct OracleReport {
 /// Runs every oracle over `c`. All simulation configurations share the
 /// case's programs (built once — SyntheticProgram is immutable) and one
 /// reusable SimInstance (compiled once, reset between configurations);
-/// the replay oracle re-runs through the one-shot run_simulation facade,
-/// so instance reuse itself is cross-checked on every case. A run costs
-/// six small simulations.
-[[nodiscard]] OracleReport run_oracles(const FuzzCase& c);
-
-/// run_oracles with the case's programs materialized through `artifacts`
-/// (keyed by full profile content + machine). The shrinker uses this: its
-/// candidates mutate budgets, machine shape and the scheme far more often
-/// than the profiles, so consecutive attempts on one failing case mostly
-/// hit the cache instead of rebuilding every program.
+/// the replay and fresh-faststats oracles re-run through the one-shot
+/// run_simulation facade, so instance reuse itself is cross-checked on
+/// every case. A passing run costs eight small simulations (pinned by
+/// tests/fuzz_test.cpp: `cvmt fuzz` prints the total, and the committed
+/// benchmark digests in perfbench/digests.json hash that output).
+///
+/// With `artifacts` the case's programs and scheme are materialized
+/// through that cache (keyed by full profile content + machine). The
+/// shrinker uses this: its candidates mutate budgets, machine shape and
+/// the scheme far more often than the profiles, so consecutive attempts
+/// on one failing case mostly hit the cache instead of rebuilding every
+/// program.
 [[nodiscard]] OracleReport run_oracles(const FuzzCase& c,
-                                       ArtifactCache& artifacts);
+                                       ArtifactCache* artifacts = nullptr);
 
-/// run_oracles routed through the lockstep batch engine when `lanes` > 1:
-/// the baseline and every comparison configuration run as lanes of one
-/// SimBatch (same artifacts, same comparison order and rules), which
-/// turns every fuzz case into a differential test of the batch engine
-/// across eval modes and stats levels. On a passing case the report is
-/// identical to the sequential path's (six simulations, ok). `lanes` <= 1
-/// is exactly the sequential path; `artifacts` may be null.
+/// The three-argument form exists only because the benchmark calls it
+/// (perfbench/src/workloads.cpp), and the benchmark stays frozen so runs
+/// of two commits stay comparable. `lanes` must be 1: there is one
+/// simulation path.
 [[nodiscard]] OracleReport run_oracles(const FuzzCase& c,
                                        ArtifactCache* artifacts,
                                        unsigned lanes);

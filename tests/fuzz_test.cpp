@@ -177,14 +177,14 @@ TEST(OracleTest, CacheBackedOraclesMatchThePlainPath) {
   for (std::uint64_t seed : {11u, 12u, 13u}) {
     const FuzzCase c = generate_case(seed);
     const OracleReport plain = run_oracles(c);
-    const OracleReport cached = run_oracles(c, artifacts);
+    const OracleReport cached = run_oracles(c, &artifacts);
     EXPECT_EQ(plain.ok, cached.ok) << c.summary();
     EXPECT_EQ(plain.simulations, cached.simulations);
     EXPECT_EQ(plain.to_string(), cached.to_string());
   }
   const std::size_t warm = artifacts.size();
   EXPECT_GT(warm, 0u);
-  (void)run_oracles(generate_case(11), artifacts);  // all hits
+  (void)run_oracles(generate_case(11), &artifacts);  // all hits
   EXPECT_EQ(artifacts.size(), warm);
 }
 
@@ -196,6 +196,24 @@ TEST(FuzzSweepTest, CheckedInCorpusReplaysClean) {
   for (const FuzzCase& c : corpus) {
     const OracleReport r = run_oracles(c);
     EXPECT_TRUE(r.ok) << c.label << ": " << r.to_string();
+  }
+}
+
+// The oracle contract's size: a passing case runs exactly eight
+// simulations. `cvmt fuzz` prints the total ("simulations run"), and the
+// benchmark pins a digest of that output, so changing the oracle rows
+// must fail here first rather than as a digest mismatch.
+TEST(OracleTest, EveryPassingCaseRunsEightSimulations) {
+  std::vector<FuzzCase> cases = load_corpus_dir(corpus_dir());
+  ASSERT_GE(cases.size(), 5u) << "corpus missing at " << corpus_dir();
+  SplitMix64 sm(1);
+  for (int i = 0; i < 50; ++i) cases.push_back(generate_case(sm.next()));
+  for (const FuzzCase& c : cases) {
+    const OracleReport r = run_oracles(c);
+    EXPECT_TRUE(r.ok) << c.label << ": " << r.to_string();
+    EXPECT_EQ(r.simulations, 8)
+        << c.label << ": the oracle row count changed; the fuzz output "
+        << "digests in perfbench/digests.json hash `simulations run`";
   }
 }
 

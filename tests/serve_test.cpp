@@ -178,6 +178,27 @@ TEST(Serve, UnknownExperimentAndTypeAndFields) {
   EXPECT_EQ(error_code_of(r), "bad_request");
 }
 
+// "lanes" is not an experiment parameter (there is one simulation path),
+// so it gets the same strict unknown-key rejection as a typo; the same
+// request without it parses.
+TEST(Serve, LanesParamIsAnUnknownKey) {
+  const std::string plain =
+      R"({"id":7,"type":"experiment","experiment":"fig9","params":{)"
+      R"("workers":1}})";
+  EXPECT_EQ(parse_request(plain).params.cfg.batch.workers, 1u);
+  try {
+    (void)parse_request(
+        R"({"id":7,"type":"experiment","experiment":"fig9","params":{)"
+        R"("workers":1,"lanes":1}})");
+    FAIL() << "a \"lanes\" parameter must be rejected";
+  } catch (const RequestError& e) {
+    EXPECT_EQ(e.code(), ServeError::kBadRequest);
+    EXPECT_NE(std::string(e.what()).find("lanes"), std::string::npos)
+        << e.what();
+    EXPECT_EQ(e.id().as_int(), 7);
+  }
+}
+
 TEST(Serve, OversizedLineIsRejectedAndClosed) {
   TestServer ts;
   Client c(ts.server->port());
