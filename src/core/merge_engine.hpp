@@ -10,7 +10,7 @@
 // the engine owns the rotation index, the priority policy and the
 // statistics. The original recursive tree walk is retained as
 // EvalMode::kTreeReference — bit-identical by construction, used by the
-// equivalence tests and as the baseline of bench_cycle_loop.
+// equivalence tests and the differential fuzz oracles.
 #pragma once
 
 #include <bit>

@@ -244,7 +244,7 @@ bool commit_out(const std::string& path, const std::ostringstream& buffer,
   return false;
 }
 
-/// Runs one experiment end to end; 0/1 exit semantics of the benches.
+/// Runs one experiment end to end; returns 1 when its self-check failed.
 int run_and_print(const Experiment& experiment,
                   const ExperimentParams& params, OutputFormat format,
                   std::ostream& os) {

@@ -3,7 +3,7 @@
 // Experiment — id, paper artifact, description, declared parameter schema
 // and a run function returning generic Dataset sections — and the cvmt
 // driver, the tests and CI all run it from here. Adding a
-// new experiment is one new runner file; no report/bench/CMake fan-out.
+// new experiment is one new runner file; no report/CMake fan-out.
 //
 // Registration happens via static initializers, so the runner objects
 // must actually be linked: they are compiled as the cvmt_exp OBJECT
@@ -37,8 +37,8 @@ struct ResultSection {
 
 struct ExperimentResult {
   std::vector<ResultSection> sections;
-  /// False when a self-validating experiment (batch-speedup's
-  /// bit-identity check) failed; the driver exits non-zero.
+  /// False when an experiment's own self-check failed; `cvmt run` exits
+  /// non-zero.
   bool ok = true;
 };
 

@@ -21,7 +21,7 @@
 namespace cvmt {
 
 /// Hard upper bounds used to size inline containers. The paper's machine is
-/// 4x4; the ablation benches go up to 8 clusters / 8 threads, and the
+/// 4x4; the ablation experiments go up to 8 clusters / 8 threads, and the
 /// property-based fuzzer (src/testgen) exercises schemes up to 16 threads.
 inline constexpr int kMaxClusters = 8;
 inline constexpr int kMaxIssuePerCluster = 8;

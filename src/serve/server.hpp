@@ -74,7 +74,7 @@ class ServeServer {
   /// Idempotent; concurrent callers block until the drain completes.
   void stop();
 
-  /// The `stats` response payload (also useful for tests/benches).
+  /// The `stats` response payload (also useful for tests).
   [[nodiscard]] JsonValue stats_json() const;
 
   [[nodiscard]] std::size_t num_workers() const {

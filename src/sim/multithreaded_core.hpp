@@ -88,8 +88,6 @@ class MultithreadedCore {
 
   [[nodiscard]] const CoreStats& stats() const { return stats_; }
   [[nodiscard]] const MergeEngine& engine() const { return engine_; }
-  [[nodiscard]] MemorySystem& memory() { return mem_; }
-  [[nodiscard]] const CoreOptions& options() const { return options_; }
 
  private:
   MachineConfig machine_;

@@ -1,4 +1,4 @@
-// Command-line flag parser shared by the cvmt driver, the benches and the
+// Command-line flag parser shared by cvmt run, serve, fuzz and the
 // examples. Each option may name a CVMT_* environment variable; values
 // then resolve in layers:
 //

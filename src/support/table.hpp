@@ -1,7 +1,8 @@
-// ASCII / CSV table rendering for bench binaries and examples.
+// ASCII / CSV table rendering for the cvmt CLI and examples.
 //
-// Every bench prints the same rows the paper's table or figure reports;
-// TableWriter keeps that output aligned and optionally machine-readable.
+// Every experiment prints the same rows the paper's table or figure
+// reports; TableWriter keeps that output aligned and optionally
+// machine-readable.
 #pragma once
 
 #include <iosfwd>
@@ -38,7 +39,7 @@ class TableWriter {
   std::vector<std::vector<std::string>> rows_;  // empty vector = separator
 };
 
-/// Prints a figure/table banner ("== Figure 10: ... ==") used by benches.
+/// Prints a figure/table banner ("== Figure 10: ... ==") above a section.
 void print_banner(std::ostream& os, const std::string& title);
 
 }  // namespace cvmt

@@ -222,6 +222,11 @@ struct Knob {
   const char* cli_value;
 };
 
+/// gtest appends the printed parameter to each ctest name; without a
+/// printer that is the struct's raw bytes (pointer values), which shift
+/// whenever the binary's layout does.
+void PrintTo(const Knob& k, std::ostream* os) { *os << k.flag; }
+
 class StandardKnobTest : public ::testing::TestWithParam<Knob> {
  protected:
   void TearDown() override { ::unsetenv(GetParam().env); }

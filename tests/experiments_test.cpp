@@ -1,6 +1,6 @@
 // Smoke + relation tests of the experiment harness: every figure/table
 // runner produces data with the paper's qualitative shape at reduced run
-// lengths. (bench/ binaries print the full-size versions.)
+// lengths. (`cvmt run <id>` prints the full-size versions.)
 #include <gtest/gtest.h>
 
 #include <sstream>

@@ -13,6 +13,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "exp/driver.hpp"
@@ -470,42 +471,64 @@ TEST(Serve, StopUnderLoadLosesNoAdmittedJobs) {
 // --- scale ----------------------------------------------------------------
 
 // The acceptance bar: >= 1000 small runs across concurrent pipelined
-// clients, every response ok and the result payload bit-identical across
-// all of them (same request => same bytes, any worker, any connection).
+// clients rotating over three schemes, every response ok and its result
+// payload bit-identical to every other response for the same scheme
+// (same request => same bytes, any worker, any connection).
 TEST(Serve, ThousandPipelinedRunsAreBitIdentical) {
   TestServer ts(/*workers=*/0, /*queue=*/2048);  // 0 = all cores
   constexpr int kConnections = 4;
   constexpr int kPerConnection = 250;
+  static constexpr std::array<const char*, 3> kSchemes = {"2SC3", "3CCC",
+                                                        "3SSS"};
 
-  std::vector<std::future<std::vector<std::string>>> futures;
+  // Request "rN" runs kSchemes[N % 3]; each response is paired with the
+  // scheme index its id names, since pipelined answers may reorder.
+  using Answer = std::pair<std::size_t, std::string>;
+  std::vector<std::future<std::vector<Answer>>> futures;
   futures.reserve(kConnections);
   for (int conn = 0; conn < kConnections; ++conn)
     futures.push_back(std::async(std::launch::async, [&ts, conn] {
       Client c(ts.server->port());
       for (int i = 0; i < kPerConnection; ++i) {
-        JsonValue req = JsonValue::parse(
-            run_request(conn * kPerConnection + i, "2SC3", 500));
+        const int id = conn * kPerConnection + i;
+        JsonValue req = JsonValue::parse(run_request(
+            id, kSchemes[static_cast<std::size_t>(id) % kSchemes.size()],
+            500));
         c.send_line(req.dump(-1));
       }
-      std::vector<std::string> results;
+      std::vector<Answer> results;
       std::string line;
       for (int i = 0; i < kPerConnection; ++i) {
         if (!c.recv_line(&line)) break;
         const JsonValue r = JsonValue::parse(line);
         EXPECT_TRUE(r.get("ok").as_bool());
-        results.push_back(r.get("result").dump(-1));
+        const std::size_t id =
+            std::stoul(r.get("id").as_string().substr(1));
+        results.emplace_back(id % kSchemes.size(),
+                             r.get("result").dump(-1));
       }
       return results;
     }));
 
-  std::vector<std::string> all;
+  std::vector<Answer> all;
   for (auto& f : futures) {
-    std::vector<std::string> part = f.get();
+    std::vector<Answer> part = f.get();
     all.insert(all.end(), part.begin(), part.end());
   }
   ASSERT_EQ(all.size(),
             static_cast<std::size_t>(kConnections * kPerConnection));
-  for (const std::string& result : all) EXPECT_EQ(result, all.front());
+  std::array<const std::string*, kSchemes.size()> first{};
+  for (const auto& [scheme, result] : all) {
+    if (first[scheme] == nullptr) first[scheme] = &result;
+    EXPECT_EQ(result, *first[scheme]) << kSchemes[scheme];
+  }
+  // The rotation is only a check if the schemes' payloads differ.
+  for (std::size_t s = 0; s < kSchemes.size(); ++s) {
+    ASSERT_NE(first[s], nullptr) << kSchemes[s];
+    for (std::size_t t = 0; t < s; ++t)
+      EXPECT_NE(*first[s], *first[t])
+          << kSchemes[s] << " vs " << kSchemes[t];
+  }
 
   const JsonValue stats = ts.server->stats_json();
   EXPECT_EQ(stats.get("requests").get("completed").as_int(),

@@ -6,12 +6,17 @@
 // The session-reuse contract is pinned here too: a reset SimInstance must
 // replay bit-identically to fresh construction for every paper scheme x
 // policy, including mixed stats levels and eval modes on one instance.
+// Finally, the absolute counts of four Fig 10 schemes on workload LMHH
+// are pinned as constants, so a change that moves every evaluator
+// together (memory system, trace streams, OS loop) still fails here.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <iterator>
 #include <string>
 #include <vector>
 
+#include "exp/experiments.hpp"
 #include "sim/session.hpp"
 
 namespace cvmt {
@@ -249,6 +254,82 @@ TEST(SimGolden, ReseededRunsReproduceBitIdentically) {
   const SimResult b = run_simulation(Scheme::parse("2SC3"), programs(),
                                      cfg);
   expect_identical(a, b, "reseeded", /*compare_merge_stats=*/true);
+}
+
+TEST(SimGolden, PinnedFig10CountsOnLmhhMatchEveryLibraryMode) {
+  // Frozen from the pre-MergePlan seed simulator (a one-cycle-at-a-time
+  // tree-evaluator loop with its own trace and thread code). Each row is
+  // {scheme, cycles, total_ops, total_instructions} at three configs: a
+  // tiny smoke run, the `--fast` scale and the default 400k budget.
+  struct Pinned {
+    const char* scheme;
+    std::uint64_t cycles, ops, instructions;
+  };
+  struct Config {
+    const char* name;
+    std::uint64_t budget, timeslice;
+    bool every_mode;  ///< false: only the sweep default plan/fast/ff
+    Pinned rows[4];
+  };
+  const Config configs[] = {
+      {"tiny", 2'000, 1'000, true,
+       {{"3CCC", 5'887, 25'535, 6'662},
+        {"2SC3", 5'119, 24'426, 6'543},
+        {"3SSS", 4'757, 24'711, 6'776},
+        {"C4", 5'887, 25'535, 6'662}}},
+      {"fast", kFastInstructionBudget, kFastTimesliceCycles, true,
+       {{"3CCC", 123'150, 662'731, 186'512},
+        {"2SC3", 106'202, 665'495, 185'451},
+        {"3SSS", 89'142, 638'016, 181'763},
+        {"C4", 123'150, 662'731, 186'512}}},
+      {"default", 400'000, 50'000, false,
+       {{"3CCC", 794'565, 4'384'776, 1'225'526},
+        {"2SC3", 710'998, 4'579'767, 1'259'594},
+        {"3SSS", 599'988, 4'394'934, 1'239'633},
+        {"C4", 794'565, 4'384'776, 1'225'526}}},
+  };
+  struct Mode {
+    const char* name;
+    EvalMode eval;
+    StatsLevel stats;
+    bool fast_forward;
+  };
+  const Mode modes[] = {
+      {"tree/full/step", EvalMode::kTreeReference, StatsLevel::kFull, false},
+      {"tree/full/ff", EvalMode::kTreeReference, StatsLevel::kFull, true},
+      {"plan/full/ff", EvalMode::kPlan, StatsLevel::kFull, true},
+      {"plan/fast/ff", EvalMode::kPlan, StatsLevel::kFast, true},
+  };
+
+  const auto& workloads = table2_workloads();
+  const auto lmhh = std::find_if(
+      workloads.begin(), workloads.end(),
+      [](const Workload& w) { return w.ilp_combo == "LMHH"; });
+  ASSERT_NE(lmhh, workloads.end());
+  std::vector<std::shared_ptr<const SyntheticProgram>> progs;
+  for (const std::string& b : lmhh->benchmarks)
+    progs.push_back(library().get(b));
+
+  for (const Config& c : configs) {
+    for (const Pinned& row : c.rows) {
+      for (const Mode& mode : modes) {
+        if (!c.every_mode && mode.stats != StatsLevel::kFast) continue;
+        SimConfig cfg;
+        cfg.instruction_budget = c.budget;
+        cfg.timeslice_cycles = c.timeslice;
+        cfg.eval_mode = mode.eval;
+        cfg.stats = mode.stats;
+        cfg.stall_fast_forward = mode.fast_forward;
+        const SimResult r =
+            run_simulation(Scheme::parse(row.scheme), progs, cfg);
+        const std::string what =
+            std::string(c.name) + "/" + row.scheme + "/" + mode.name;
+        EXPECT_EQ(r.cycles, row.cycles) << what;
+        EXPECT_EQ(r.total_ops, row.ops) << what;
+        EXPECT_EQ(r.total_instructions, row.instructions) << what;
+      }
+    }
+  }
 }
 
 }  // namespace
